@@ -657,6 +657,8 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def _build_fuzz_parser() -> argparse.ArgumentParser:
+    from .fuzz.oracle import EXHAUSTIVE_BUDGET
+
     parser = argparse.ArgumentParser(
         prog="python -m repro fuzz",
         description=(
@@ -680,8 +682,11 @@ def _build_fuzz_parser() -> argparse.ArgumentParser:
         help="random schedules per input variant in sampled mode (default 10)",
     )
     parser.add_argument(
-        "--exhaustive-budget", type=int, default=2000,
-        help="max interleavings for exhaustive enumeration (default 2000)",
+        "--exhaustive-budget", type=int, default=EXHAUSTIVE_BUDGET,
+        help=(
+            "max distinct configurations per case for the exhaustive check, "
+            f"else sampled schedules (default {EXHAUSTIVE_BUDGET})"
+        ),
     )
     parser.add_argument(
         "--report", default=None, metavar="FILE", help="write the JSON report to FILE"

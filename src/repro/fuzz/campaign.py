@@ -18,7 +18,7 @@ from typing import Callable, List, Optional
 
 from ..smt.session import SolverSession
 from .gen import GeneratedCase, generate_case, statement_count
-from .oracle import OracleOutcome, check_case, failure_kind
+from .oracle import EXHAUSTIVE_BUDGET, OracleOutcome, check_case, failure_kind
 from .reprofile import emit_repro
 from .shrink import shrink_case
 
@@ -32,7 +32,7 @@ class FuzzConfig:
     budget: Optional[float] = None  # wall-clock seconds; None = unlimited
     shrink: bool = True
     schedules: int = 10
-    exhaustive_budget: int = 2000
+    exhaustive_budget: int = EXHAUSTIVE_BUDGET
     repro_dir: Optional[str] = None
 
 

@@ -9,10 +9,12 @@ For each generated case the oracle derives three independent verdicts:
    when it reported ``secure``); any difference in the verified verdict
    is a *fast-path bug*.
 3. **Empirical noninterference** — paired executions over the case's
-   instance groups: full interleaving enumeration when the state space
-   fits a budget, seeded :class:`~repro.lang.scheduler.RandomScheduler`
-   sweeps otherwise.  A case the verifier PROVED that empirically leaks
-   is a *soundness failure* — the one verdict that must never occur.
+   instance groups: a distinct-state search of every interleaving
+   (:func:`repro.lang.machine.explore`) when the state spaces fit
+   :data:`EXHAUSTIVE_BUDGET` configurations, seeded
+   :class:`~repro.lang.scheduler.RandomScheduler` sweeps otherwise.  A
+   case the verifier PROVED that empirically leaks is a *soundness
+   failure* — the one verdict that must never occur.
 
 Observed leaks are additionally quantified with
 :func:`repro.security.leakage.mutual_information` /
@@ -32,14 +34,18 @@ from typing import Callable, List, Optional, Sequence
 
 from ..lang.ast import Command
 from ..lang.interpreter import AbortError
-from ..lang.scheduler import enumerate_executions
-from ..lang.semantics import ABORT, Config, State
+from ..lang.machine import StateBudgetExceeded, explore
+from ..lang.scheduler import enumerate_executions  # noqa: F401  (hooked by perfbench/tracer.py)
 from ..security.leakage import mutual_information, threshold_leak
 from ..security.noninterference import NIReport, Witness, channel_observer
 from ..security.noninterference import check_noninterference
 from ..smt.session import SolverSession
 from ..verifier.frontend import verify
 from .gen import GeneratedCase
+
+#: Distinct configurations the exhaustive check may visit per case, over
+#: all its input variants, before the oracle falls back to sampling.
+EXHAUSTIVE_BUDGET = 50_000
 
 # -- test hook ---------------------------------------------------------------
 
@@ -75,6 +81,7 @@ class OracleOutcome:
     verified_no_prepass: Optional[bool]  # None when the fast path never fired
     empirical_secure: Optional[bool]
     empirical_mode: Optional[str]  # 'exhaustive' | 'sampled'
+    #: distinct final states found (exhaustive) or runs made (sampled)
     executions: int
     witness: Optional[Witness]
     leak_bits: Optional[float]
@@ -100,31 +107,33 @@ def _exhaustive_within_budget(
     budget: int,
     observe,
 ) -> Optional[NIReport]:
-    """Exhaustive Def. 2.1 check, or ``None`` if the interleaving space
-    exceeds ``budget`` executions (a *completed* enumeration is required —
-    a truncated one could miss outputs asymmetrically across variants and
-    fabricate witnesses)."""
-    total = 0
+    """Exhaustive Def. 2.1 check, or ``None`` if the variants' state
+    spaces together exceed ``budget`` distinct configurations (a
+    *completed* search is required — a truncated one could miss outputs
+    asymmetrically across variants and fabricate witnesses).  The
+    report's ``executions_checked`` counts distinct final states."""
+    configs = finals = 0
     for variants in groups:
         seen: dict = {}
         for inputs in variants:
-            outputs = set()
-            initial = Config(program, State.make(dict(inputs)))
-            for final in enumerate_executions(initial, max_steps=50_000):
-                if final == ABORT:
-                    raise AbortError(f"program aborts on inputs {inputs!r}")
-                total += 1
-                if total > budget:
-                    return None
-                outputs.add(observe(final.state.output))
-            for output in outputs:
+            try:
+                reached = explore(
+                    program, dict(inputs), budget=budget - configs, max_steps=50_000
+                )
+            except StateBudgetExceeded:
+                return None
+            if reached.aborted:
+                raise AbortError(f"program aborts on inputs {inputs!r}")
+            configs += reached.configs
+            finals += len(reached.finals)
+            for output in {observe(final.output) for final in reached.finals}:
                 seen.setdefault(output, inputs)
         if len(seen) > 1:
             ordered = sorted(seen.items(), key=lambda item: repr(item[0]))
             (out1, in1), (out2, in2) = ordered[0], ordered[1]
             witness = Witness(in1, in2, out1, out2, "exhaustive enumeration")
-            return NIReport(False, witness, total)
-    return NIReport(True, None, total)
+            return NIReport(False, witness, finals)
+    return NIReport(True, None, finals)
 
 
 def _score_leak(
@@ -159,7 +168,7 @@ def check_case(
     case: GeneratedCase,
     session: Optional[SolverSession] = None,
     schedules: int = 10,
-    exhaustive_budget: int = 2000,
+    exhaustive_budget: int = EXHAUSTIVE_BUDGET,
     seed: int = 0,
 ) -> OracleOutcome:
     """Run the full differential check on one case."""
@@ -246,6 +255,7 @@ def failure_kind(outcome: OracleOutcome) -> Optional[str]:
 
 
 __all__ = [
+    "EXHAUSTIVE_BUDGET",
     "OracleOutcome",
     "check_case",
     "failure_kind",

@@ -1,4 +1,8 @@
-"""Execution driver: run a program under a scheduler to completion."""
+"""Execution driver: run a program under a scheduler to completion.
+
+Runs on the flat machine (:mod:`repro.lang.machine`), which takes the
+same steps as the Fig. 9 reference :func:`repro.lang.semantics.step`.
+"""
 
 from __future__ import annotations
 
@@ -6,8 +10,10 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from .ast import Command
+from .machine import FINAL, lower
 from .scheduler import Scheduler, left_first
-from .semantics import ABORT, Config, State, step
+from .semantics import ABORT, State
+from .semantics import step  # noqa: F401  (the reference; perfbench/tracer.py counts calls here)
 
 
 class AbortError(Exception):
@@ -48,19 +54,20 @@ def run(
     step budget is exhausted (likely divergence).
     """
     scheduler = scheduler or left_first
-    config = Config(program, State.make(inputs, heap))
+    machine = lower(program)
+    config, extras = machine.start(inputs, heap)
     schedule: list[str] = []
     for count in range(max_steps):
-        if config.is_final():
-            return RunResult(config.state, count, tuple(schedule))
-        successors = step(config)
+        if config[0] == FINAL:
+            return RunResult(machine.state(config, extras), count, tuple(schedule))
+        successors = machine.successors(config)
         if not successors:
             raise RuntimeError(
                 f"deadlock after {count} steps: all threads blocked on atomic guards"
             )
         index = scheduler(config, successors)
         chosen = successors[index]
-        if chosen.result == ABORT:
+        if chosen.result is ABORT:
             raise AbortError(f"program aborted after {count} steps (choice {chosen.choice!r})")
         schedule.append(chosen.choice)
         config = chosen.result

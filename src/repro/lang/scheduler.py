@@ -1,10 +1,14 @@
 """Schedulers over the small-step semantics.
 
-A scheduler is a policy for choosing among the successor steps returned by
-:func:`repro.lang.semantics.step`.  Internal timing channels (Sec. 1) arise
-precisely because this choice can correlate with secret-dependent timing;
-the schedulers here let the test and benchmark harnesses explore that
-space:
+A scheduler is a policy for choosing among the successor steps of a
+configuration: ``scheduler(config, steps)`` returns an index into
+``steps``, whose items carry the ``choice`` label.  The interpreter
+(:mod:`repro.lang.interpreter`) calls it with the flat machine's
+configuration and :class:`~repro.lang.machine.Move` list, which list the
+same successors as :func:`repro.lang.semantics.step`.  Internal timing
+channels (Sec. 1) arise precisely because this choice can correlate with
+secret-dependent timing; the schedulers here let the test and benchmark
+harnesses explore that space:
 
 * :class:`RoundRobinScheduler` — the deterministic scheduler from the
   Fig. 1 discussion: threads take turns (modelled as alternating the
@@ -12,8 +16,11 @@ space:
 * :class:`RandomScheduler` — seeded uniform choice, for probabilistic
   exploration;
 * :class:`FixedScheduler` — replays a recorded choice sequence;
-* :func:`enumerate_executions` — exhaustive interleaving enumeration with
-  a bound, used by the soundness tester on small programs.
+* :func:`enumerate_executions` — the reference path enumeration over
+  :func:`~repro.lang.semantics.step`, one final per interleaving.
+  Production code uses the distinct-state search
+  :func:`repro.lang.machine.explore`; this stays as the oracle tests
+  compare it against.
 """
 
 from __future__ import annotations

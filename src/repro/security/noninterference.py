@@ -4,9 +4,10 @@ The property: for any two terminating executions — under *any* schedules —
 whose low inputs agree, the low outputs agree.  This module checks it two
 ways:
 
-* :func:`check_exhaustive` — enumerate **all** interleavings of a (small)
-  instance for each high-input variant and compare the full set of
-  reachable low outputs.  Sound and complete for the instance.
+* :func:`check_exhaustive` — search **all** interleavings of a (small)
+  instance for each high-input variant, visiting each reachable
+  configuration once, and compare the full set of reachable low
+  outputs.  Sound and complete for the instance.
 * :func:`check_sampled` — run many seeded-random and round-robin schedules
   across high-input variants; a difference in low outputs is a genuine
   counterexample (a *witness* of a value channel), agreement is evidence.
@@ -24,8 +25,9 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 
 from ..lang.ast import Command
 from ..lang.interpreter import run
-from ..lang.scheduler import RandomScheduler, RoundRobinScheduler, enumerate_executions
-from ..lang.semantics import ABORT, Config, State
+from ..lang.machine import explore
+from ..lang.scheduler import RandomScheduler, RoundRobinScheduler
+from ..lang.scheduler import enumerate_executions  # noqa: F401  (hooked by perfbench/tracer.py)
 
 Observation = tuple  # the program's public output trace
 
@@ -88,13 +90,10 @@ class NIReport:
 
 def all_outputs(program: Command, inputs: dict, max_steps: int = 200_000) -> frozenset:
     """The set of output traces over *all* interleavings (exhaustive)."""
-    outputs: set = set()
-    initial = Config(program, State.make(dict(inputs)))
-    for final in enumerate_executions(initial, max_steps=max_steps):
-        if final == ABORT:
-            raise RuntimeError(f"program aborts on inputs {inputs!r}")
-        outputs.add(final.state.output)
-    return frozenset(outputs)
+    reached = explore(program, dict(inputs), max_steps=max_steps)
+    if reached.aborted:
+        raise RuntimeError(f"program aborts on inputs {inputs!r}")
+    return frozenset(final.output for final in reached.finals)
 
 
 def check_exhaustive(

@@ -53,6 +53,16 @@ def test_small_campaign_is_clean():
     assert counters["leaks_observed"] > 0
 
 
+def test_benchmark_slice_is_decided_exhaustively(session):
+    """The first cases of the CI campaign fit the distinct-configuration
+    budget, so their empirical verdicts come from every interleaving,
+    not from sampled schedules."""
+    for index in range(6):
+        outcome = check_case(generate_case(20240808, index), session=session, seed=20240808)
+        assert failure_kind(outcome) is None, outcome
+        assert outcome.empirical_mode == "exhaustive", outcome.case.name
+
+
 def test_mutants_leak_and_are_rejected(session):
     """Across a fixed window, at least one mutant is both rejected by the
     verifier and observed leaking empirically — the oracle's two sides

@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.smt import clear_all_caches
-from repro.smt.cache import GLOBAL
+from repro.smt.cache import get_default
 from repro.smt.session import SolverSession, in_euf_fragment, in_mixed_fragment
 from repro.smt.solver import Verdict, check_validity
 from repro.smt.sorts import BOOL, INT
@@ -83,21 +83,22 @@ def _solve_session(batch):
 def _solve_after_round_trip(batch):
     """Populate a persistent store from a session run, reload it cold,
     and replay the batch; answers must come from the store."""
+    cache = get_default()
     handle, path = tempfile.mkstemp(suffix=".json")
     os.close(handle)
     try:
-        GLOBAL.forget_persistent()
+        cache.forget_persistent()
         clear_all_caches()
-        GLOBAL.enable_persistence()
+        cache.enable_persistence()
         session = SolverSession()
         first = [
             _observe(check_validity(formula, session=session)) for formula in batch
         ]
-        GLOBAL.save(path)
+        cache.save(path)
 
-        GLOBAL.forget_persistent()
+        cache.forget_persistent()
         clear_all_caches()
-        GLOBAL.load(path)
+        cache.load(path)
         replay_session = SolverSession()
         replayed = []
         for formula, observed_first in zip(batch, first):
@@ -109,7 +110,7 @@ def _solve_after_round_trip(batch):
             replayed.append(_observe(result))
         return replayed
     finally:
-        GLOBAL.forget_persistent()
+        cache.forget_persistent()
         clear_all_caches()
         os.unlink(path)
 

@@ -22,7 +22,6 @@ from repro.smt import (
     negate,
     simplify,
 )
-from repro.smt.cache import GLOBAL as VALIDITY_CACHE
 from repro.smt.cnf import cnf_of
 
 
